@@ -11,6 +11,7 @@ package pcpm
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -107,11 +108,41 @@ func benchEngine(b *testing.B, g *graph.Graph, method Method) {
 	b.ReportMetric(gteps, "GTEPS")
 }
 
+// benchComponentwise measures the componentwise solver, which has no
+// step-wise engine: one op is a whole Run (SCC decomposition, condensation
+// schedule, and the level-by-level solve to convergence), reported with its
+// phase split and summed component iterations.
+func benchComponentwise(b *testing.B, g *graph.Graph) {
+	b.Helper()
+	var decompose, schedule, solve time.Duration
+	iters := 0
+	for b.Loop() {
+		res, err := Run(g, Options{Method: MethodComponentwise, PartitionBytes: 64 << 10})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bd := res.Componentwise
+		decompose += bd.Decompose
+		schedule += bd.Schedule
+		solve += bd.Solve
+		iters += res.Iterations
+	}
+	perOp := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+	b.ReportMetric(perOp(decompose), "decompose_ms")
+	b.ReportMetric(perOp(schedule), "schedule_ms")
+	b.ReportMetric(perOp(solve), "solve_ms")
+	b.ReportMetric(float64(iters)/float64(b.N), "iterations")
+}
+
 func BenchmarkEngines(b *testing.B) {
 	for _, ds := range []string{"gplus", "pld", "web", "kron", "twitter", "sd1"} {
 		g := loadBenchDataset(b, ds)
 		for _, m := range Methods() {
 			b.Run(fmt.Sprintf("%s/%s", ds, m), func(b *testing.B) {
+				if m == MethodComponentwise {
+					benchComponentwise(b, g)
+					return
+				}
 				benchEngine(b, g, m)
 			})
 		}

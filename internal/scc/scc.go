@@ -25,7 +25,6 @@
 package scc
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,11 +147,22 @@ type decomposer struct {
 // Decompose computes the SCC decomposition of g using up to the given
 // number of workers (0 means GOMAXPROCS).
 func Decompose(g *graph.Graph, workers int) *Result {
-	n := g.NumNodes()
-	start := time.Now()
-	if n == 0 {
+	if g.NumNodes() == 0 {
 		return &Result{Comp: []int32{}, CompOff: []int64{0}, AdjOff: []int64{0}}
 	}
+	start := time.Now()
+	d := newDecomposer(g, workers)
+	numProv := d.partition()
+	partition := time.Since(start)
+
+	res := d.condense(numProv)
+	res.PartitionTime = partition
+	res.CondenseTime = time.Since(start) - partition
+	return res
+}
+
+func newDecomposer(g *graph.Graph, workers int) *decomposer {
+	n := g.NumNodes()
 	d := &decomposer{
 		g:      g,
 		comp:   make([]int32, n),
@@ -165,15 +175,21 @@ func Decompose(g *graph.Graph, workers int) *Result {
 	for i := range d.comp {
 		d.comp[i] = -1
 	}
-	if par.Workers(workers) == 1 {
-		// Sequential fast path: one worker gains nothing from FW-BW's
-		// divide-and-conquer (which re-scans each subproblem's edges per
-		// split), so run iterative Tarjan — a single O(V+E) pass. The
-		// deterministic renumbering in condense makes both paths produce
-		// identical Results.
+	return d
+}
+
+// partition fills d.comp with provisional component ids and returns how
+// many it assigned.
+func (d *decomposer) partition() int {
+	if cap(d.slots) == 1 {
+		// Sequential fast path (the worker bound is 1): one worker gains
+		// nothing from FW-BW's divide-and-conquer (which re-scans each
+		// subproblem's edges per split), so run iterative Tarjan — a
+		// single O(V+E) pass. The deterministic renumbering in condense
+		// makes both paths produce identical Results.
 		d.tarjan()
 	} else {
-		root := task{id: 0, verts: make([]graph.NodeID, n)}
+		root := task{id: 0, verts: make([]graph.NodeID, d.g.NumNodes())}
 		for v := range root.verts {
 			root.verts[v] = graph.NodeID(v)
 		}
@@ -181,12 +197,7 @@ func Decompose(g *graph.Graph, workers int) *Result {
 		d.spawn(root)
 		d.wg.Wait()
 	}
-	partition := time.Since(start)
-
-	res := d.condense(int(d.nextComp.Load()))
-	res.PartitionTime = partition
-	res.CondenseTime = time.Since(start) - partition
-	return res
+	return int(d.nextComp.Load())
 }
 
 // spawn hands t to a fresh worker goroutine if a slot is free, otherwise
@@ -449,34 +460,74 @@ func (d *decomposer) tarjan() {
 	}
 }
 
-// compEdge is one (possibly duplicated) condensation edge.
-type compEdge struct{ from, to int32 }
-
 // condense builds the deduplicated condensation DAG over the provisional
 // component ids, computes topological levels (longest path from a source),
 // renumbers components level-major with smallest-member tie-break so the
-// result is schedule-independent, and assembles the Result.
+// result is schedule-independent, and assembles the Result. Every step is a
+// counting pass, so the whole build is O(V+E) with no comparison sort:
+// cross-component edges are binned by source component (count, then fill)
+// and each bin is deduplicated with a per-target stamp; the renumbering is
+// a stable counting sort by level of the components in smallest-member
+// order (first occurrence in an ascending vertex scan); and the final
+// adjacency gets ascending rows from a double transpose.
 func (d *decomposer) condense(numProv int) *Result {
-	g, n := d.g, d.g.NumNodes()
+	g, n, comp := d.g, d.g.NumNodes(), d.comp
 
-	// Cross-component edges, deduplicated by sort.
-	var edges []compEdge
+	// Bin cross-component edges by source component: count, then fill.
+	off := make([]int64, numProv+1)
 	for v := 0; v < n; v++ {
-		cu := d.comp[v]
+		cu := comp[v]
 		for _, u := range g.OutNeighbors(graph.NodeID(v)) {
-			if cv := d.comp[u]; cv != cu {
-				edges = append(edges, compEdge{cu, cv})
+			if comp[u] != cu {
+				off[cu+1]++
 			}
 		}
 	}
-	edges = dedupEdges(edges)
+	for c := 0; c < numProv; c++ {
+		off[c+1] += off[c]
+	}
+	adj := make([]int32, off[numProv])
+	cur := make([]int64, numProv)
+	copy(cur, off)
+	for v := 0; v < n; v++ {
+		cu := comp[v]
+		for _, u := range g.OutNeighbors(graph.NodeID(v)) {
+			if cv := comp[u]; cv != cu {
+				adj[cur[cu]] = cv
+				cur[cu]++
+			}
+		}
+	}
+
+	// Deduplicate each bin in place: stamp[t] is the last source that kept
+	// an edge to t. Rows only shrink, so writes never overtake reads.
+	stamp := make([]int32, numProv)
+	for c := range stamp {
+		stamp[c] = -1
+	}
+	kept := int64(0)
+	for c := 0; c < numProv; c++ {
+		lo, hi := off[c], off[c+1]
+		off[c] = kept
+		for _, t := range adj[lo:hi] {
+			if stamp[t] != int32(c) {
+				stamp[t] = int32(c)
+				adj[kept] = t
+				kept++
+			}
+		}
+	}
+	off[numProv] = kept
+	adj = adj[:kept]
 
 	// Longest-path levels via Kahn's algorithm over the provisional DAG.
 	provLevel := make([]int32, numProv)
-	indeg := make([]int32, numProv)
-	off, adj := edgesToCSR(numProv, edges)
-	for _, e := range edges {
-		indeg[e.to]++
+	indeg := stamp // stamps are spent; reuse the array
+	for c := range indeg {
+		indeg[c] = 0
+	}
+	for _, t := range adj {
+		indeg[t]++
 	}
 	queue := make([]int32, 0, numProv)
 	for c := int32(0); c < int32(numProv); c++ {
@@ -484,120 +535,116 @@ func (d *decomposer) condense(numProv int) *Result {
 			queue = append(queue, c)
 		}
 	}
+	maxLevel := int32(0)
 	for head := 0; head < len(queue); head++ {
 		c := queue[head]
-		for _, e := range adj[off[c]:off[c+1]] {
-			if l := provLevel[c] + 1; l > provLevel[e] {
-				provLevel[e] = l
+		if provLevel[c] > maxLevel {
+			maxLevel = provLevel[c]
+		}
+		for _, t := range adj[off[c]:off[c+1]] {
+			if l := provLevel[c] + 1; l > provLevel[t] {
+				provLevel[t] = l
 			}
-			if indeg[e]--; indeg[e] == 0 {
-				queue = append(queue, e)
+			if indeg[t]--; indeg[t] == 0 {
+				queue = append(queue, t)
 			}
 		}
 	}
 
-	// Deterministic renumbering: (level, smallest member vertex).
-	minVert := make([]int32, numProv)
-	for c := range minVert {
-		minVert[c] = int32(n)
+	// Deterministic renumbering: (level, smallest member vertex), as a
+	// stable counting sort by level over the components in smallest-member
+	// order — the order an ascending vertex scan first meets them in.
+	levelOff := make([]int32, maxLevel+2)
+	for _, l := range provLevel {
+		levelOff[l+1]++
 	}
-	for v := n - 1; v >= 0; v-- {
-		minVert[d.comp[v]] = int32(v)
+	for l := int32(0); l <= maxLevel; l++ {
+		levelOff[l+1] += levelOff[l]
 	}
-	order := make([]int32, numProv)
-	for c := range order {
-		order[c] = int32(c)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if provLevel[a] != provLevel[b] {
-			return provLevel[a] < provLevel[b]
-		}
-		return minVert[a] < minVert[b]
-	})
+	levelCur := make([]int32, maxLevel+1)
+	copy(levelCur, levelOff)
 	perm := make([]int32, numProv) // provisional -> final
-	for newID, old := range order {
-		perm[old] = int32(newID)
+	for c := range perm {
+		perm[c] = -1
+	}
+	for v := 0; v < n; v++ {
+		if c := comp[v]; perm[c] < 0 {
+			l := provLevel[c]
+			perm[c] = levelCur[l]
+			levelCur[l]++
+		}
 	}
 
 	res := &Result{
-		Comp:     d.comp, // renumbered in place below
+		Comp:     comp, // renumbered in place below
 		NumComps: numProv,
 		Level:    make([]int32, numProv),
+		Levels:   make([][]int32, maxLevel+1),
 	}
-	maxLevel := int32(0)
-	for newID, old := range order {
-		res.Level[newID] = provLevel[old]
-		if provLevel[old] > maxLevel {
-			maxLevel = provLevel[old]
-		}
+	for c, l := range provLevel {
+		res.Level[perm[c]] = l
 	}
-	res.Levels = make([][]int32, maxLevel+1)
-	for c := int32(0); c < int32(numProv); c++ {
-		l := res.Level[c]
-		res.Levels[l] = append(res.Levels[l], c)
+	ids := make([]int32, numProv)
+	for c := range ids {
+		ids[c] = int32(c)
+	}
+	for l := range res.Levels {
+		lo, hi := levelOff[l], levelOff[l+1]
+		res.Levels[l] = ids[lo:hi:hi]
 	}
 	for v := 0; v < n; v++ {
-		res.Comp[v] = perm[res.Comp[v]]
+		comp[v] = perm[comp[v]]
 	}
 
 	// Member lists via counting sort (ascending vertex order per component).
 	res.CompOff = make([]int64, numProv+1)
 	for v := 0; v < n; v++ {
-		res.CompOff[res.Comp[v]+1]++
+		res.CompOff[comp[v]+1]++
 	}
 	for c := 0; c < numProv; c++ {
 		res.CompOff[c+1] += res.CompOff[c]
 	}
 	res.CompVerts = make([]graph.NodeID, n)
-	cur := make([]int64, numProv)
+	copy(cur, res.CompOff)
 	for v := 0; v < n; v++ {
-		c := res.Comp[v]
-		res.CompVerts[res.CompOff[c]+cur[c]] = graph.NodeID(v)
+		c := comp[v]
+		res.CompVerts[cur[c]] = graph.NodeID(v)
 		cur[c]++
 	}
 
-	// Condensation adjacency under the final numbering.
-	for i := range edges {
-		edges[i] = compEdge{perm[edges[i].from], perm[edges[i].to]}
+	// Condensation adjacency under the final numbering, rows ascending: the
+	// first transpose groups each edge's final source under its final
+	// target; the second walks targets in ascending order and appends each
+	// one to its sources' rows.
+	inOff := make([]int64, numProv+1)
+	for _, t := range adj {
+		inOff[perm[t]+1]++
 	}
-	edges = dedupEdges(edges)
-	res.AdjOff, res.Adj = edgesToCSR(numProv, edges)
+	for c := 0; c < numProv; c++ {
+		inOff[c+1] += inOff[c]
+	}
+	in := make([]int32, kept)
+	copy(cur, inOff)
+	res.AdjOff = make([]int64, numProv+1)
+	for c := 0; c < numProv; c++ {
+		s := perm[c]
+		res.AdjOff[s+1] = off[c+1] - off[c]
+		for _, t := range adj[off[c]:off[c+1]] {
+			ft := perm[t]
+			in[cur[ft]] = s
+			cur[ft]++
+		}
+	}
+	for c := 0; c < numProv; c++ {
+		res.AdjOff[c+1] += res.AdjOff[c]
+	}
+	res.Adj = make([]int32, kept)
+	copy(cur, res.AdjOff)
+	for t := 0; t < numProv; t++ {
+		for _, s := range in[inOff[t]:inOff[t+1]] {
+			res.Adj[cur[s]] = int32(t)
+			cur[s]++
+		}
+	}
 	return res
-}
-
-func dedupEdges(edges []compEdge) []compEdge {
-	if len(edges) == 0 {
-		return edges
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].from != edges[j].from {
-			return edges[i].from < edges[j].from
-		}
-		return edges[i].to < edges[j].to
-	})
-	out := edges[:1]
-	for _, e := range edges[1:] {
-		if e != out[len(out)-1] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func edgesToCSR(numComps int, edges []compEdge) ([]int64, []int32) {
-	off := make([]int64, numComps+1)
-	adj := make([]int32, len(edges))
-	for _, e := range edges {
-		off[e.from+1]++
-	}
-	for c := 0; c < numComps; c++ {
-		off[c+1] += off[c]
-	}
-	cur := make([]int64, numComps)
-	for _, e := range edges { // edges sorted by from, so order is preserved
-		adj[off[e.from]+cur[e.from]] = e.to
-		cur[e.from]++
-	}
-	return off, adj
 }

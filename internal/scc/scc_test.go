@@ -219,7 +219,10 @@ func TestDecomposeMatchesTarjanOnAllFamilies(t *testing.T) {
 	}
 }
 
-func TestDecomposeAdversarialCases(t *testing.T) {
+// adversarialGraphs builds the degenerate shapes: empty, edgeless,
+// self-loops only, one giant SCC, and a linearly deep chain of 2-cycles.
+func adversarialGraphs(t testing.TB) map[string]*graph.Graph {
+	t.Helper()
 	mk := func(n int, edges []graph.Edge) *graph.Graph {
 		g, err := graph.FromEdges(n, edges, false, graph.BuildOptions{})
 		if err != nil {
@@ -227,14 +230,44 @@ func TestDecomposeAdversarialCases(t *testing.T) {
 		}
 		return g
 	}
+	var giant []graph.Edge
+	const giantN = 5000
+	for v := 0; v < giantN; v++ {
+		giant = append(giant, graph.Edge{Src: graph.NodeID(v), Dst: graph.NodeID((v + 1) % giantN)})
+		giant = append(giant, graph.Edge{Src: graph.NodeID(v), Dst: graph.NodeID((v * 7) % giantN)})
+	}
+	// No trimming possible and linearly deep condensation: the worst case
+	// for the FW-BW recursion's explicit stack.
+	var chain []graph.Edge
+	for p := 0; p < chainPairs; p++ {
+		a, b := graph.NodeID(2*p), graph.NodeID(2*p+1)
+		chain = append(chain, graph.Edge{Src: a, Dst: b}, graph.Edge{Src: b, Dst: a})
+		if p+1 < chainPairs {
+			chain = append(chain, graph.Edge{Src: b, Dst: graph.NodeID(2 * (p + 1))})
+		}
+	}
+	return map[string]*graph.Graph{
+		"empty graph":        mk(0, nil),
+		"fully disconnected": mk(100, nil),
+		"self-loops only":    mk(3, []graph.Edge{{Src: 0, Dst: 0}, {Src: 1, Dst: 1}, {Src: 2, Dst: 2}}),
+		"one giant SCC":      mk(giantN, giant),
+		"chain of 2-cycles":  mk(2*chainPairs, chain),
+	}
+}
+
+// chainPairs is the number of 2-cycles in the "chain of 2-cycles" graph.
+const chainPairs = 400
+
+func TestDecomposeAdversarialCases(t *testing.T) {
+	graphs := adversarialGraphs(t)
 	t.Run("empty graph", func(t *testing.T) {
-		r := Decompose(mk(0, nil), 4)
+		r := Decompose(graphs["empty graph"], 4)
 		if r.NumComps != 0 || len(r.Levels) != 0 {
 			t.Fatalf("empty graph: %d comps, %d levels", r.NumComps, len(r.Levels))
 		}
 	})
 	t.Run("fully disconnected", func(t *testing.T) {
-		g := mk(100, nil)
+		g := graphs["fully disconnected"]
 		r := Decompose(g, 4)
 		checkInvariants(t, g, r)
 		if r.NumComps != 100 || r.LargestComponent() != 1 || len(r.Levels) != 1 {
@@ -243,8 +276,7 @@ func TestDecomposeAdversarialCases(t *testing.T) {
 		}
 	})
 	t.Run("self-loops only", func(t *testing.T) {
-		edges := []graph.Edge{{Src: 0, Dst: 0}, {Src: 1, Dst: 1}, {Src: 2, Dst: 2}}
-		g := mk(3, edges)
+		g := graphs["self-loops only"]
 		r := Decompose(g, 4)
 		checkInvariants(t, g, r)
 		if r.NumComps != 3 {
@@ -252,36 +284,19 @@ func TestDecomposeAdversarialCases(t *testing.T) {
 		}
 	})
 	t.Run("one giant SCC", func(t *testing.T) {
-		var edges []graph.Edge
-		n := 5000
-		for v := 0; v < n; v++ {
-			edges = append(edges, graph.Edge{Src: graph.NodeID(v), Dst: graph.NodeID((v + 1) % n)})
-			edges = append(edges, graph.Edge{Src: graph.NodeID(v), Dst: graph.NodeID((v * 7) % n)})
-		}
-		g := mk(n, edges)
+		g := graphs["one giant SCC"]
 		r := Decompose(g, 8)
 		checkInvariants(t, g, r)
-		if r.NumComps != 1 || r.LargestComponent() != n {
+		if r.NumComps != 1 || r.LargestComponent() != g.NumNodes() {
 			t.Fatalf("giant SCC split: %d comps, largest %d", r.NumComps, r.LargestComponent())
 		}
 	})
 	t.Run("chain of 2-cycles", func(t *testing.T) {
-		// No trimming possible and linearly deep condensation: the
-		// worst case for the FW-BW recursion's explicit stack.
-		var edges []graph.Edge
-		pairs := 400
-		for p := 0; p < pairs; p++ {
-			a, b := graph.NodeID(2*p), graph.NodeID(2*p+1)
-			edges = append(edges, graph.Edge{Src: a, Dst: b}, graph.Edge{Src: b, Dst: a})
-			if p+1 < pairs {
-				edges = append(edges, graph.Edge{Src: b, Dst: graph.NodeID(2 * (p + 1))})
-			}
-		}
-		g := mk(2*pairs, edges)
+		g := graphs["chain of 2-cycles"]
 		r := Decompose(g, 4)
 		checkInvariants(t, g, r)
-		if r.NumComps != pairs || len(r.Levels) != pairs {
-			t.Fatalf("chain: comps=%d levels=%d, want %d/%d", r.NumComps, len(r.Levels), pairs, pairs)
+		if r.NumComps != chainPairs || len(r.Levels) != chainPairs {
+			t.Fatalf("chain: comps=%d levels=%d, want %d/%d", r.NumComps, len(r.Levels), chainPairs, chainPairs)
 		}
 		if !samePartition(r.Comp, tarjanRef(g)) {
 			t.Fatal("chain partition differs from Tarjan")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	pcpm "repro"
 	"repro/internal/delta"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/scc"
 )
@@ -456,4 +458,99 @@ func newHTTPServer(t *testing.T, s *Server) string {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts.URL
+}
+
+// sameSCC reports whether two decompositions agree in every field but the
+// two wall-clock timings.
+func sameSCC(a, b *scc.Result) bool {
+	x, y := *a, *b
+	x.PartitionTime, x.CondenseTime = 0, 0
+	y.PartitionTime, y.CondenseTime = 0, 0
+	return reflect.DeepEqual(x, y)
+}
+
+// TestDeltaPublishesFreshSCC pins that every edge-delta write publishes the
+// decomposition of the graph it built, not the previous snapshot's: on a
+// DAG, an edge that closes a cycle through a two-hop path merges at least
+// three singletons into one component, deleting it splits them again, and WAL replay after a
+// crash rebuilds the same decomposition.
+func TestDeltaPublishesFreshSCC(t *testing.T) {
+	g, err := gen.PreferentialAttachment(2000, 4, 41, graph.BuildOptions{Dedup: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Preferential attachment links each vertex only to older ones, so g is
+	// acyclic. Take a path a -> b -> c from the newest vertex: c -> a then
+	// closes a cycle. On 2000 vertices one edge dirties little enough
+	// residual that both writes take the incremental repair path.
+	var a, b, c graph.NodeID
+	found := false
+	for v := g.NumNodes() - 1; v >= 0 && !found; v-- {
+		out := g.OutNeighbors(graph.NodeID(v))
+		for i := len(out) - 1; i >= 0 && !found; i-- {
+			if nb := g.OutNeighbors(out[i]); len(nb) > 0 {
+				a, b, c, found = graph.NodeID(v), out[i], nb[len(nb)-1], true
+			}
+		}
+	}
+	if !found {
+		t.Fatal("no two-hop path in the test graph")
+	}
+
+	dir := t.TempDir()
+	s, _ := newDurableServer(t, durableConfig(dir))
+	if _, err := s.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+		t.Fatal(err)
+	}
+	// check returns the published snapshot after asserting that it carries
+	// the decomposition of its own graph and that Info reports its count.
+	check := func(step string) *Snapshot {
+		t.Helper()
+		info, err := s.Info("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := publishedSnap(t, s, "g")
+		if !sameSCC(snap.SCC, scc.Decompose(snap.Graph, 1)) {
+			t.Errorf("%s: published SCC is not the decomposition of the published graph", step)
+		}
+		if info.Components != snap.SCC.NumComps {
+			t.Errorf("%s: Info reports %d components, snapshot has %d", step, info.Components, snap.SCC.NumComps)
+		}
+		return snap
+	}
+	base := check("ingest")
+	if base.SCC.NumComps != g.NumNodes() {
+		t.Fatalf("ingest: %d components on a %d-vertex DAG", base.SCC.NumComps, g.NumNodes())
+	}
+
+	closing := delta.EdgeDelta{Insert: []graph.Edge{{Src: c, Dst: a}}}
+	if st, err := s.ApplyEdgeDelta("g", closing); err != nil {
+		t.Fatalf("insert %d->%d: %v", c, a, err)
+	} else if st.Mode != "incremental" {
+		t.Fatalf("insert took the %s path (%s), want incremental", st.Mode, st.Reason)
+	}
+	cyc := check("insert")
+	if cyc.SCC.NumComps > g.NumNodes()-2 {
+		t.Errorf("insert: %d components, want at most %d", cyc.SCC.NumComps, g.NumNodes()-2)
+	}
+	if ca := cyc.SCC.Comp[a]; cyc.SCC.Comp[b] != ca || cyc.SCC.Comp[c] != ca {
+		t.Errorf("insert: %d, %d, %d not merged into one component", a, b, c)
+	}
+
+	if st, err := s.ApplyEdgeDelta("g", delta.EdgeDelta{Delete: closing.Insert}); err != nil {
+		t.Fatalf("delete %d->%d: %v", c, a, err)
+	} else if st.Mode != "incremental" {
+		t.Fatalf("delete took the %s path (%s), want incremental", st.Mode, st.Reason)
+	}
+	live := check("delete")
+	if !sameSCC(live.SCC, base.SCC) {
+		t.Error("delete: decomposition did not return to the ingested one")
+	}
+
+	crashStop(t, s)
+	r, _ := newDurableServer(t, durableConfig(dir))
+	if got := publishedSnap(t, r, "g"); !sameSCC(got.SCC, live.SCC) {
+		t.Error("recovered SCC differs from the live one")
+	}
 }
